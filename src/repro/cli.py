@@ -749,6 +749,28 @@ def _cmd_pipeline(args) -> int:
     return _finish_serving_outputs(args, session, tracker)
 
 
+def _slide_geometry_error(days: int, window: int, slides: int) -> Optional[str]:
+    """Why ``--days/--window/--slides`` cannot be served, or ``None``.
+
+    The user's own values are reported as given; nothing is clamped.
+    """
+    if slides < 1:
+        return f"--slides {slides}: at least one slide is required"
+    if window < 1:
+        return f"--window {window}: the window needs at least one day"
+    if window >= days:
+        return (
+            f"--window {window} must be shorter than --days {days}: "
+            "every slide needs a day after the first window"
+        )
+    if days < window + slides + 1:
+        return (
+            f"--days {days} is too short: {slides} slide(s) over a "
+            f"{window}-day window need at least {window + slides + 1} days"
+        )
+    return None
+
+
 def _cmd_pipeline_sliding(args) -> int:
     """The sliding-window serving loop (``pipeline --slides/--incremental``)."""
     from repro import obs
@@ -767,14 +789,10 @@ def _cmd_pipeline_sliding(args) -> int:
             file=sys.stderr,
         )
         return 2
-    window_days = min(args.window, args.days - 1)
     slides = args.slides or 1
-    if args.days < window_days + slides + 1:
-        print(
-            f"error: need at least {window_days + slides + 1} days for "
-            f"{slides} slide(s) over a {window_days}-day window",
-            file=sys.stderr,
-        )
+    problem = _slide_geometry_error(args.days, args.window, slides)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     stream = TransactionStream(
         TransactionStreamConfig(num_days=args.days, seed=args.seed)
@@ -787,7 +805,7 @@ def _cmd_pipeline_sliding(args) -> int:
     session = _obs_session(args)
     tracker = _memory_tracker(args)
     try:
-        window, detection = sliding.start(0, window_days)
+        window, detection = sliding.start(0, args.window)
         lp = detection.lp_result
         print(
             f"start          : {window.graph.name} "
@@ -828,13 +846,9 @@ def _cmd_serve(args) -> int:
     from repro.pipeline import TransactionStream, TransactionStreamConfig
     from repro.serving import LoadGenConfig, LoadGenerator, ScoringService
 
-    window_days = min(args.window, args.days - 1)
-    if args.days < window_days + args.slides + 1:
-        print(
-            f"error: need at least {window_days + args.slides + 1} days "
-            f"for {args.slides} slide(s) over a {window_days}-day window",
-            file=sys.stderr,
-        )
+    problem = _slide_geometry_error(args.days, args.window, args.slides)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     stream = TransactionStream(
         TransactionStreamConfig(num_days=args.days, seed=args.seed)
@@ -849,10 +863,10 @@ def _cmd_serve(args) -> int:
                 seed=args.seed,
             ),
         )
-        events = generator.schedule(window_days, args.slides)
+        events = generator.schedule(args.window, args.slides)
         service = ScoringService(
             stream,
-            window_days=window_days,
+            window_days=args.window,
             incremental=not args.no_incremental,
             queue_capacity=args.queue_capacity,
             policy=args.policy,

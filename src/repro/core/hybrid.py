@@ -51,6 +51,7 @@ from repro.kernels import mfl
 from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, KernelContext, StrategyConfig
 from repro.kernels.frontier import (
     FrontierConfig,
+    bitmap_unique,
     coerce_initial_frontier,
     prune_pinned,
     resolve_frontier,
@@ -725,7 +726,7 @@ class HybridEngine:
         if changed is None or changed.size == 0:
             return np.empty(0, dtype=np.int64)
         batch = mfl.expand_edges(graph.reversed(), changed)
-        return np.unique(batch.neighbor_ids.astype(np.int64, copy=False))
+        return bitmap_unique(batch.neighbor_ids, graph.num_vertices)
 
     @staticmethod
     def _resident_frontier(

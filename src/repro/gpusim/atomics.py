@@ -10,6 +10,10 @@ serialization pattern differs sharply between strategies:
   (many neighbors share the MFL → same counter address),
 * the **warp-centric** low-degree kernel replaces atomics entirely with
   ``match_any``/``popc`` bit tricks — the paper's Section 4.2 punchline.
+
+Same-address groups are found by sorting one packed ``(warp, address)`` key
+per lane (:func:`repro.gpusim.memory.pack_keys`), with a two-key lexsort
+fallback when the ranges are too wide to pack; both give identical counts.
 """
 
 from __future__ import annotations
@@ -21,7 +25,11 @@ import numpy as np
 from repro.gpusim import hooks
 from repro.gpusim.config import DeviceSpec
 from repro.gpusim.counters import PerfCounters
-from repro.gpusim.memory import count_sector_transactions, default_warp_ids
+from repro.gpusim.memory import (
+    count_sector_transactions,
+    default_warp_ids,
+    pack_keys,
+)
 
 
 def serialization_cost(
@@ -40,14 +48,23 @@ def serialization_cost(
     total = int(addresses.size)
     if total == 0:
         return 0, 0
-    order = np.lexsort((addresses, warp_ids))
-    a = addresses[order]
-    w = warp_ids[order]
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], (a[1:] != a[:-1]) | (w[1:] != w[:-1])))
-    )
+    packed = pack_keys(warp_ids, addresses)
+    if packed is not None:
+        keys, span = packed
+        keys.sort()
+        boundaries = np.flatnonzero(
+            np.concatenate(([True], keys[1:] != keys[:-1]))
+        )
+        group_warps = keys[boundaries] // span
+    else:
+        order = np.lexsort((addresses, warp_ids))
+        a = addresses[order]
+        w = warp_ids[order]
+        boundaries = np.flatnonzero(
+            np.concatenate(([True], (a[1:] != a[:-1]) | (w[1:] != w[:-1])))
+        )
+        group_warps = w[boundaries]
     multiplicities = np.diff(np.concatenate((boundaries, [total])))
-    group_warps = w[boundaries]
     warp_boundaries = np.flatnonzero(
         np.concatenate(([True], group_warps[1:] != group_warps[:-1]))
     )

@@ -10,12 +10,14 @@ kernel touches:
 ``transactions = |{(warp, address // sector_bytes)}|``
 
 The arithmetic is fully vectorized so kernels can account a whole edge-array
-load with one call.
+load with one call.  Distinct ``(warp, sector)`` pairs are counted by sorting
+one packed int64 key per lane (:func:`pack_keys`); when the ranges are too
+wide to pack, a two-key lexsort gives the same count.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +29,39 @@ from repro.gpusim.counters import PerfCounters
 def default_warp_ids(num_elements: int, warp_size: int = 32) -> np.ndarray:
     """Lane→warp map when consecutive elements go to consecutive lanes."""
     return np.arange(num_elements, dtype=np.int64) // warp_size
+
+
+def pack_keys(
+    warp_ids: np.ndarray, values: np.ndarray
+) -> Optional[Tuple[np.ndarray, int]]:
+    """Pack ``(warp, value)`` pairs into one sortable int64 key per lane.
+
+    Returns ``(keys, span)`` with ``keys = (w - wmin) * span + (v - vmin)``,
+    so sorting ``keys`` orders lanes exactly as
+    ``np.lexsort((values, warp_ids))`` does and ``keys // span`` recovers
+    ``w - wmin``.  Returns ``None`` when a key would overflow int64 (or an
+    input is not losslessly int64); callers then fall back to lexsort.
+    """
+    warp_ids = np.asarray(warp_ids)
+    values = np.asarray(values)
+    if not (
+        np.can_cast(warp_ids.dtype, np.int64)
+        and np.can_cast(values.dtype, np.int64)
+    ):
+        return None
+    warp_ids = warp_ids.astype(np.int64, copy=False)
+    values = values.astype(np.int64, copy=False)
+    if values.size == 0:
+        return np.empty(0, dtype=np.int64), 1
+    wmin = int(warp_ids.min())
+    vmin = int(values.min())
+    span = int(values.max()) - vmin + 1
+    if (int(warp_ids.max()) - wmin + 1) * span > np.iinfo(np.int64).max:
+        return None
+    keys = (warp_ids - np.int64(wmin)) * np.int64(span) + (
+        values - np.int64(vmin)
+    )
+    return keys, span
 
 
 def count_sector_transactions(
@@ -49,8 +84,11 @@ def count_sector_transactions(
     if byte_addresses.size == 0:
         return 0
     sectors = byte_addresses // sector_bytes
-    # Count distinct (warp, sector) pairs via lexsort — packing both values
-    # into one integer key overflows for large warp-step ids.
+    packed = pack_keys(warp_ids, sectors)
+    if packed is not None:
+        keys = packed[0]
+        keys.sort()
+        return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
     order = np.lexsort((sectors, warp_ids))
     s = sectors[order]
     w = warp_ids[order]

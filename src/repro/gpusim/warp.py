@@ -88,21 +88,48 @@ def match_any_sync(active: np.ndarray, values: np.ndarray) -> np.ndarray:
     if values.shape != active.shape:
         raise KernelError("values shape must match active shape")
     _notify_sync("match_any_sync", active)
-    warp_size = active.shape[1]
-    # eq[w, i, j] = lanes i and j of warp w are both active and hold equal
-    # values.  warp_size is <= 32 so the (W, 32, 32) temporary is cheap.
-    eq = values[:, :, None] == values[:, None, :]
-    eq &= active[:, :, None]
-    eq &= active[:, None, :]
-    bits = _LANE_BITS[:warp_size]
-    masks = (eq * bits[None, None, :]).sum(axis=2, dtype=np.uint64)
+    num_warps, warp_size = active.shape
+    if num_warps == 0 or warp_size == 0:
+        return np.zeros(active.shape, dtype=np.uint64)
+    # Group equal values by a per-warp sort, OR the bits of each
+    # group's *active* lanes, and hand every lane its group's mask.
+    # Inactive lanes contribute no bit, even when they hold the same value
+    # as an active lane.
+    order = np.argsort(values, axis=1)
+    sorted_values = np.take_along_axis(values, order, axis=1)
+    sorted_bits = np.where(
+        np.take_along_axis(active, order, axis=1),
+        _LANE_BITS[order],
+        np.uint64(0),
+    )
+    new_group = np.ones(active.shape, dtype=bool)
+    new_group[:, 1:] = sorted_values[:, 1:] != sorted_values[:, :-1]
+    new_group = new_group.ravel()
+    group_masks = np.bitwise_or.reduceat(
+        sorted_bits.ravel(), np.flatnonzero(new_group)
+    )
+    lane_masks = group_masks[np.cumsum(new_group) - 1].reshape(active.shape)
+    masks = np.empty(active.shape, dtype=np.uint64)
+    np.put_along_axis(masks, order, lane_masks, axis=1)
     masks[~active] = 0
     return masks
 
 
 def popc(masks: np.ndarray) -> np.ndarray:
-    """``__popc``: number of set bits per entry (vectorized popcount)."""
+    """``__popc``: number of set bits per entry (vectorized popcount).
+
+    Uses numpy's native ``bitwise_count`` where it exists (numpy >= 2.0)
+    and a shift-and-add loop on older numpy; both return equal counts.
+    """
     masks = np.asarray(masks, dtype=np.uint64)
+    bitwise_count = getattr(np, "bitwise_count", None)
+    if bitwise_count is None:
+        return _popc_loop(masks)
+    return bitwise_count(masks).astype(np.int64)
+
+
+def _popc_loop(masks: np.ndarray) -> np.ndarray:
+    """Portable popcount for numpy releases without ``bitwise_count``."""
     counts = np.zeros(masks.shape, dtype=np.int64)
     work = masks.copy()
     while work.any():

@@ -110,6 +110,17 @@ def frontier_bitmap_bytes(num_vertices: int) -> int:
     return num_vertices * BITMAP_BYTES
 
 
+def bitmap_unique(ids: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Sorted unique ``ids`` (all in ``[0, num_vertices)``) via a bitmap.
+
+    Equal to ``np.unique(ids)``, in ``O(len(ids) + num_vertices)`` rather
+    than a sort of ``ids`` — the host-side twin of the frontier bitmap.
+    """
+    seen = np.zeros(num_vertices, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen).astype(np.int64, copy=False)
+
+
 def coerce_initial_frontier(
     frontier, num_vertices: int
 ) -> np.ndarray:
@@ -174,7 +185,9 @@ def expand_frontier(
             array="neighbor-ids",
         )
         batch = expand_edges(reversed_graph, changed)
-        frontier = np.unique(batch.neighbor_ids.astype(np.int64, copy=False))
+        frontier = bitmap_unique(
+            batch.neighbor_ids, reversed_graph.num_vertices
+        )
         # Scattered byte stores into the bitmap — one per touched edge
         # (duplicates still issue a store; they just coalesce per sector).
         # Every lane writes the same value (1), which is exactly why the

@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.api import LPProgram
+from repro.gpusim.memory import pack_keys
 from repro.graph.csr import CSRGraph
 from repro.types import LABEL_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
@@ -155,7 +156,12 @@ def aggregate_label_frequencies(
             edge_order=np.empty(0, dtype=VERTEX_DTYPE),
             group_of_edge=np.empty(0, dtype=VERTEX_DTYPE),
         )
-    order = np.lexsort((labels, batch.vertex_ids))
+    packed = pack_keys(batch.vertex_ids, labels)
+    if packed is not None:
+        # Stable argsort of the packed key is the lexsort permutation.
+        order = np.argsort(packed[0], kind="stable")
+    else:
+        order = np.lexsort((labels, batch.vertex_ids))
     sorted_vertices = batch.vertex_ids[order]
     sorted_labels = labels[order]
     sorted_freqs = freqs[order]

@@ -476,3 +476,47 @@ class TestServingObservability:
             "obs", "report", "--slo", "benchmarks/serving_slo.toml",
         ])
         assert code == 2
+
+
+class TestSlideGeometry:
+    """``serve``/``pipeline --slides`` reject, never clamp, a bad geometry."""
+
+    @pytest.mark.parametrize("command", ["serve", "pipeline"])
+    @pytest.mark.parametrize("window", ["4", "6"])
+    def test_window_not_shorter_than_days(self, capsys, command, window):
+        code = main([command, "--days", "4", "--window", window,
+                     "--slides", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"--window {window} must be shorter than --days 4" in err
+        assert "3-day" not in err
+
+    @pytest.mark.parametrize("command,slides", [("serve", "0"),
+                                                ("serve", "-2"),
+                                                ("pipeline", "-1")])
+    def test_slides_must_be_positive(self, capsys, command, slides):
+        code = main([command, "--days", "10", "--window", "4",
+                     "--slides", slides])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"--slides {slides}: at least one slide is required" in err
+
+    def test_window_must_be_positive(self, capsys):
+        code = main(["serve", "--days", "10", "--window", "0"])
+        assert code == 2
+        assert "--window 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "pipeline"])
+    def test_too_few_days_names_the_users_values(self, capsys, command):
+        code = main([command, "--days", "6", "--window", "4",
+                     "--slides", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--days 6 is too short" in err
+        assert "over a 4-day window need at least 8 days" in err
+
+    def test_longest_valid_window(self):
+        from repro.cli import _slide_geometry_error
+
+        assert _slide_geometry_error(6, 4, 1) is None
+        assert "too short" in _slide_geometry_error(6, 5, 1)
