@@ -26,22 +26,17 @@ Design — persistent residency + CPU co-processing:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from repro import obs
 from repro.baselines.cpumodel import CPUSpec, XEON_W2133
-from repro.core.api import LPProgram, validate_program
-from repro.core.instrument import observe_iteration, observe_run
-from repro.core.results import IterationStats, LPResult
-from repro.errors import (
-    ConvergenceError,
-    DeviceFault,
-    OutOfDeviceMemoryError,
-)
+from repro.core import driver
+from repro.core.api import LPProgram
+from repro.core.results import IterationStats
+from repro.errors import DeviceFault, OutOfDeviceMemoryError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPartition, partition_by_edge_count
 from repro.gpusim import hooks
@@ -52,7 +47,6 @@ from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, KernelContext, StrategyC
 from repro.kernels.frontier import (
     FrontierConfig,
     bitmap_unique,
-    coerce_initial_frontier,
     prune_pinned,
     resolve_frontier,
     use_sparse_pass,
@@ -61,6 +55,10 @@ from repro.kernels.mfl import NO_SCORE
 from repro.kernels.propagate import propagate_pass
 from repro.kernels.scheduler import bin_vertices_by_degree
 from repro.types import LABEL_DTYPE, WEIGHT_DTYPE
+
+#: Fraction of device memory the hybrid residency planner may fill, and the
+#: share ``run_auto``'s all-resident fit test allows before it picks hybrid.
+MEMORY_SAFETY = 0.9
 
 
 @dataclass(frozen=True)
@@ -107,8 +105,6 @@ class HybridEngine:
         :class:`~repro.core.framework.GLPEngine`.
     cpu_spec:
         The host CPU that co-processes overflow vertices.
-    memory_safety:
-        Fraction of device memory the residency planner may use.
     frontier:
         Frontier execution policy for the *GPU resident range* (the CPU
         overflow share is always frontier-sparsified for safe programs).
@@ -132,15 +128,11 @@ class HybridEngine:
         config: StrategyConfig = GLP_DEFAULT,
         spec: DeviceSpec = TITAN_V,
         cpu_spec: CPUSpec = XEON_W2133,
-        memory_safety: float = 0.9,
         frontier: "FrontierConfig | str" = "dense",
     ) -> None:
-        if not 0.0 < memory_safety <= 1.0:
-            raise ConvergenceError("memory_safety must be in (0, 1]")
         self.device = device if device is not None else Device(spec)
         self.config = config
         self.cpu_spec = cpu_spec
-        self.memory_safety = memory_safety
         self.frontier = resolve_frontier(frontier)
         self.last_stats: Optional[HybridStats] = None
 
@@ -156,7 +148,7 @@ class HybridEngine:
         # per-iteration delta-label buffers.
         always_resident = 5 * label_bytes
         budget = (
-            int(self.device.spec.global_mem_bytes * self.memory_safety)
+            int(self.device.spec.global_mem_bytes * MEMORY_SAFETY)
             - always_resident
         )
         if budget <= 0:
@@ -187,167 +179,25 @@ class HybridEngine:
             * 1.3
         )
 
+    @property
+    def devices(self) -> List[Device]:
+        """The devices a run resets: this engine's one GPU."""
+        return [self.device]
+
     # ------------------------------------------------------------------
-    def run(
-        self,
-        graph: CSRGraph,
-        program: LPProgram,
-        *,
-        max_iterations: int = 20,
-        record_history: bool = False,
-        stop_on_convergence: bool = True,
-        retry_policy: "Optional[object]" = None,
-        checkpoint_dir: Optional[str] = None,
-        resume_from: Union[object, str, None] = None,
-        initial_frontier: Optional[np.ndarray] = None,
-        warm_labels: Optional[np.ndarray] = None,
-    ) -> LPResult:
-        """Execute ``program`` on a graph larger than device memory.
-
-        ``initial_frontier``/``warm_labels`` mirror
-        :meth:`GLPEngine.run`'s incremental re-convergence options: with a
-        frontier mode and a ``frontier_safe`` program, iteration 1 runs
-        sparse over the given vertex set on *both* execution shares (the
-        resident GPU slice and the CPU overflow slice) instead of the
-        mandatory dense pass.
-
-        The resilience options mirror :meth:`GLPEngine.run`: checkpoints
-        are captured at the top of every BSP iteration (labels + program
-        state + last round's changed set), device faults are recovered by
-        restoring the checkpoint under the ``retry_policy``'s budget, and
-        ``resume_from`` restarts a killed run bitwise identically.
-        """
-        if max_iterations <= 0:
-            raise ConvergenceError("max_iterations must be positive")
-        from repro.resilience.recovery import RecoveryContext
-
-        device = self.device
-        device.reset_timing()
-
-        labels = program.init_labels(graph)
-        if warm_labels is not None:
-            from repro.core.framework import _coerce_warm_labels
-
-            labels = _coerce_warm_labels(warm_labels, graph, labels)
-        program.init_state(graph, labels)
-        validate_program(program, graph, labels)
-
-        initial = None
-        if (
-            initial_frontier is not None
-            and self.frontier.enabled
-            and program.frontier_safe
-        ):
-            initial = coerce_initial_frontier(
-                initial_frontier, graph.num_vertices
-            )
-        recovery = RecoveryContext.for_run(
-            self.name,
-            retry_policy=retry_policy,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-        )
-        state: Dict[str, object] = {
-            "labels": labels,
-            "prev_changed": None,
-            "initial_frontier": initial,
-            "iteration": 1,
-        }
-        iterations: List[IterationStats] = []
-        history: Optional[list] = [] if record_history else None
-        if recovery is not None:
-            ckpt = recovery.resume_checkpoint(graph=graph, program=program)
-            if ckpt is not None:
-                self._restore(state, program, ckpt)
-            else:
-                recovery.checkpoint(
-                    graph=graph,
-                    program=program,
-                    iteration=1,
-                    labels=labels,
-                    engine_state={
-                        "prev_changed": None,
-                        "initial_frontier": initial,
-                    },
-                )
-        attempts = 0
-        while True:
-            attempts += 1
-            with obs.correlate(attempt_id=obs.mint_id("attempt")):
-                obs.emit(
-                    "engine.attempt.start",
-                    engine=self.name,
-                    attempt=attempts,
-                    start_iteration=int(state["iteration"]),
-                )
-                try:
-                    result = self._attempt(
-                        graph,
-                        program,
-                        state,
-                        iterations,
-                        history,
-                        recovery,
-                        max_iterations=max_iterations,
-                        stop_on_convergence=stop_on_convergence,
-                    )
-                except DeviceFault as fault:
-                    obs.emit(
-                        "engine.attempt.fault",
-                        engine=self.name,
-                        attempt=attempts,
-                        kind=fault.kind,
-                        transient=fault.transient,
-                        iteration=int(state["iteration"]),
-                    )
-                    if recovery is None:
-                        raise
-                    ckpt = recovery.on_fault(fault)
-                    with recovery.recovery_span(
-                        fault, int(state["iteration"])
-                    ):
-                        self._restore(state, program, ckpt)
-                    obs.emit(
-                        "recovery.restore",
-                        engine=self.name,
-                        iteration=int(ckpt.iteration),
-                        kind=fault.kind,
-                    )
-                    continue
-                obs.emit(
-                    "engine.attempt.end",
-                    engine=self.name,
-                    attempt=attempts,
-                    outcome="ok",
-                    iterations=result.num_iterations,
-                )
-                return result
-
-    @staticmethod
-    def _restore(state: Dict[str, object], program: LPProgram, ckpt) -> None:
-        """Reset the mutable run state to a checkpoint."""
-        ckpt.restore_program(program)
-        engine_state = ckpt.restored_engine_state()
-        state["labels"] = ckpt.restored_labels()
-        state["prev_changed"] = engine_state.get("prev_changed")
-        state["initial_frontier"] = engine_state.get("initial_frontier")
-        state["iteration"] = ckpt.iteration
+    run = driver.run
+    run_event = "hybrid-run"
+    carry_keys = ("prev_changed", "initial_frontier")
 
     def _attempt(
-        self,
-        graph: CSRGraph,
-        program: LPProgram,
-        state: Dict[str, object],
-        iterations: List[IterationStats],
-        history: Optional[list],
-        recovery,
-        *,
-        max_iterations: int,
-        stop_on_convergence: bool,
-    ) -> LPResult:
-        """One execution attempt from the current run state to the end."""
-        from repro.core.framework import _resolve_pinned
+        self, graph: CSRGraph, program: LPProgram, state: dict, residency: list
+    ) -> driver.Attempt:
+        """Residency and per-iteration step for one attempt (see driver).
 
+        With an ``initial_frontier``, iteration 1 runs sparse on *both*
+        execution shares (the resident GPU slice and the CPU overflow
+        slice).  The checkpoint carry is last round's changed set.
+        """
         device = self.device
         labels = state["labels"]
         # Pinned vertices are pruned from every sparse worklist (their
@@ -355,7 +205,7 @@ class HybridEngine:
         # frontier-safe, since the CPU overflow share sparsifies even in
         # dense GPU mode.
         pinned = (
-            _resolve_pinned(program, graph)
+            driver.resolve_pinned(program, graph)
             if program.frontier_safe
             else None
         )
@@ -397,205 +247,174 @@ class HybridEngine:
                 source="hybrid.plan",
             )
         with obs.alloc_scope("csr", "hybrid.residency"):
-            persistent = [device.h2d(graph.offsets)]
+            residency.append(device.h2d(graph.offsets))
         with obs.alloc_scope("labels", "hybrid.residency"):
-            persistent.append(device.h2d(labels))
-            persistent.append(device.alloc(labels.shape, labels.dtype))
+            residency.append(device.h2d(labels))
+            residency.append(device.alloc(labels.shape, labels.dtype))
         with obs.alloc_scope("scratch", "hybrid.scores"):
-            persistent.append(device.alloc(labels.shape, np.float64))
+            residency.append(device.alloc(labels.shape, np.float64))
         with obs.alloc_scope("csr", "hybrid.residency"):
             for chunk in resident:
-                persistent.append(
+                residency.append(
                     device.h2d(
                         graph.indices[chunk.edge_start : chunk.edge_stop]
                     )
                 )
                 if graph.weights is not None:
-                    persistent.append(
+                    residency.append(
                         device.h2d(
                             graph.weights[chunk.edge_start : chunk.edge_stop]
                         )
                     )
-        converged = False
         prev_changed: Optional[np.ndarray] = state["prev_changed"]
         # The affected set seeding a sparse iteration 1 (already coerced;
         # None past iteration 1 or for plain cold/warm-dense runs).
-        initial: Optional[np.ndarray] = state.get("initial_frontier")
-        start_iteration = int(state["iteration"])
-        del iterations[start_iteration - 1 :]
-        if history is not None:
-            del history[start_iteration - 1 :]
+        initial: Optional[np.ndarray] = state["initial_frontier"]
 
-        active_tracer = obs.tracer()
-        run_started = time.perf_counter() if active_tracer else 0.0
-        try:
-            for iteration in range(start_iteration, max_iterations + 1):
-                state["iteration"] = iteration
-                if recovery is not None:
-                    recovery.checkpoint(
+        def step(iteration: int, labels: np.ndarray) -> driver.Step:
+            nonlocal prev_changed
+            kernel_before = device.kernel_seconds
+            transfer_before = device.transfer_seconds
+            counters_before = device.counters.copy()
+
+            picked = program.pick_labels(graph, labels, iteration)
+
+            # Host -> device: ship the labels that changed last round
+            # ((id, label) int32 pairs — a stream, not an allocation).
+            # An incremental start only ships the affected set's labels.
+            if iteration == 1:
+                up_count = (
+                    int(initial.size)
+                    if initial is not None
+                    else graph.num_vertices
+                )
+            else:
+                up_count = int(prev_changed.size)
+            if up_count:
+                with obs.alloc_scope("exchange", "hybrid.label-deltas"):
+                    device.stream_to_device(2 * up_count * 4)
+
+            best_labels = picked.astype(LABEL_DTYPE, copy=True)
+            best_scores = np.full(
+                graph.num_vertices, NO_SCORE, dtype=WEIGHT_DTYPE
+            )
+
+            # The active frontier (sorted unique out-neighbors of last
+            # round's changed vertices — or the caller's affected set
+            # at an incremental iteration 1), computed once per
+            # iteration on the host and sliced by both execution shares.
+            frontier_candidates = None
+            incremental_start = initial is not None and iteration == 1
+            if program.frontier_safe and iteration > 1:
+                frontier_candidates = self._changed_out_neighbors(
+                    graph, prev_changed
+                )
+            elif incremental_start:
+                frontier_candidates = initial
+            if frontier_candidates is not None:
+                frontier_candidates = prune_pinned(
+                    frontier_candidates, pinned
+                )
+
+            # GPU: resident vertex ranges through the normal kernels —
+            # sparsified to the active frontier when tracking is on.
+            processed_vertices = 0
+            processed_edges = 0
+            sparse = False
+            if resident:
+                vertices = resident_vertices
+                if track_frontier and frontier_candidates is not None:
+                    frontier_slice = self._resident_frontier(
+                        frontier_candidates, resident_vertices
+                    )
+                    sparse = use_sparse_pass(
+                        self.frontier,
+                        frontier_slice.size,
+                        resident_vertices.size,
+                    )
+                    if sparse:
+                        vertices = frontier_slice
+                        # The host computed the frontier; ship the ids
+                        # of the resident slice to the device.
+                        if vertices.size:
+                            with obs.alloc_scope(
+                                "exchange", "hybrid.frontier-ids"
+                            ):
+                                device.stream_to_device(vertices.size * 8)
+                if vertices.size:
+                    ctx = KernelContext(
+                        device=device,
                         graph=graph,
+                        current_labels=picked,
                         program=program,
-                        iteration=iteration,
-                        labels=labels,
-                        engine_state={
-                            "prev_changed": prev_changed,
-                            "initial_frontier": (
-                                initial if iteration == 1 else None
-                            ),
-                        },
+                        config=self.config,
                     )
-                iter_started = (
-                    time.perf_counter() if active_tracer else 0.0
+                    if sparse:
+                        result = propagate_pass(ctx, vertices)
+                    else:
+                        result = propagate_pass(
+                            ctx, vertices, bins=resident_bins
+                        )
+                    best_labels[result.vertices] = result.best_labels
+                    best_scores[result.vertices] = result.best_scores
+                    processed_vertices += int(result.vertices.size)
+                    processed_edges += int(
+                        graph.degrees[result.vertices].sum()
+                    )
+
+            # CPU: overflow ranges, frontier-sparsified when safe.
+            cpu_seconds = 0.0
+            if overflow:
+                active = self._overflow_active(
+                    graph,
+                    program,
+                    frontier_candidates,
+                    overflow_start,
+                    iteration,
+                    incremental=incremental_start,
                 )
-                kernel_before = device.kernel_seconds
-                transfer_before = device.transfer_seconds
-                counters_before = device.counters.copy()
-
-                picked = program.pick_labels(graph, labels, iteration)
-
-                # Host -> device: ship the labels that changed last round
-                # ((id, label) int32 pairs — a stream, not an allocation).
-                # An incremental start only ships the affected set's labels.
-                if iteration == 1:
-                    up_count = (
-                        int(initial.size)
-                        if initial is not None
-                        else graph.num_vertices
+                if active.size:
+                    batch = mfl.expand_edges(graph, active)
+                    groups = mfl.aggregate_label_frequencies(
+                        program, batch, picked
                     )
-                else:
-                    up_count = int(prev_changed.size)
-                if up_count:
-                    with obs.alloc_scope("exchange", "hybrid.label-deltas"):
-                        device.stream_to_device(2 * up_count * 4)
-
-                best_labels = picked.astype(LABEL_DTYPE, copy=True)
-                best_scores = np.full(
-                    graph.num_vertices, NO_SCORE, dtype=WEIGHT_DTYPE
-                )
-
-                # The active frontier (sorted unique out-neighbors of last
-                # round's changed vertices — or the caller's affected set
-                # at an incremental iteration 1), computed once per
-                # iteration on the host and sliced by both execution shares.
-                frontier_candidates = None
-                incremental_start = initial is not None and iteration == 1
-                if program.frontier_safe and iteration > 1:
-                    frontier_candidates = self._changed_out_neighbors(
-                        graph, prev_changed
+                    o_labels, o_scores = mfl.select_best_labels(
+                        program, groups, active, picked
                     )
-                elif incremental_start:
-                    frontier_candidates = initial
-                if frontier_candidates is not None:
-                    frontier_candidates = prune_pinned(
-                        frontier_candidates, pinned
+                    best_labels[active] = o_labels
+                    best_scores[active] = o_scores
+                    cpu_seconds = (
+                        batch.num_edges / self._cpu_rate()
+                        + self.cpu_spec.sync_seconds
                     )
+                    processed_vertices += int(active.size)
+                    processed_edges += int(batch.num_edges)
 
-                # GPU: resident vertex ranges through the normal kernels —
-                # sparsified to the active frontier when tracking is on.
-                processed_vertices = 0
-                processed_edges = 0
-                sparse = False
-                if resident:
-                    vertices = resident_vertices
-                    if track_frontier and frontier_candidates is not None:
-                        frontier_slice = self._resident_frontier(
-                            frontier_candidates, resident_vertices
-                        )
-                        sparse = use_sparse_pass(
-                            self.frontier,
-                            frontier_slice.size,
-                            resident_vertices.size,
-                        )
-                        if sparse:
-                            vertices = frontier_slice
-                            # The host computed the frontier; ship the ids
-                            # of the resident slice to the device.
-                            if vertices.size:
-                                with obs.alloc_scope(
-                                    "exchange", "hybrid.frontier-ids"
-                                ):
-                                    device.stream_to_device(
-                                        vertices.size * 8
-                                    )
-                    if vertices.size:
-                        ctx = KernelContext(
-                            device=device,
-                            graph=graph,
-                            current_labels=picked,
-                            program=program,
-                            config=self.config,
-                        )
-                        if sparse:
-                            result = propagate_pass(ctx, vertices)
-                        else:
-                            result = propagate_pass(
-                                ctx, vertices, bins=resident_bins
-                            )
-                        best_labels[result.vertices] = result.best_labels
-                        best_scores[result.vertices] = result.best_scores
-                        processed_vertices += int(result.vertices.size)
-                        processed_edges += int(
-                            graph.degrees[result.vertices].sum()
-                        )
+            all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
+            new_labels = program.update_vertices(
+                all_vertices, best_labels, best_scores, labels
+            )
+            changed_mask = new_labels != labels
+            prev_changed = np.flatnonzero(changed_mask)
 
-                # CPU: overflow ranges, frontier-sparsified when safe.
-                cpu_seconds = 0.0
-                if overflow:
-                    active = self._overflow_active(
-                        graph,
-                        program,
-                        frontier_candidates,
-                        overflow_start,
-                        iteration,
-                        incremental=incremental_start,
-                    )
-                    if active.size:
-                        batch = mfl.expand_edges(graph, active)
-                        groups = mfl.aggregate_label_frequencies(
-                            program, batch, picked
-                        )
-                        o_labels, o_scores = mfl.select_best_labels(
-                            program, groups, active, picked
-                        )
-                        best_labels[active] = o_labels
-                        best_scores[active] = o_scores
-                        cpu_seconds = (
-                            batch.num_edges / self._cpu_rate()
-                            + self.cpu_spec.sync_seconds
-                        )
-                        processed_vertices += int(active.size)
-                        processed_edges += int(batch.num_edges)
+            # Device -> host: the winners that moved.
+            if prev_changed.size:
+                with obs.alloc_scope("exchange", "hybrid.label-deltas"):
+                    device.stream_to_host(2 * prev_changed.size * 4)
 
-                all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
-                new_labels = program.update_vertices(
-                    all_vertices, best_labels, best_scores, labels
-                )
-                program.on_iteration_end(graph, labels, new_labels, iteration)
-                changed_mask = new_labels != labels
-                changed = int(np.count_nonzero(changed_mask))
-                prev_changed = np.flatnonzero(changed_mask)
-
-                # Device -> host: the winners that moved.
-                if changed:
-                    with obs.alloc_scope("exchange", "hybrid.label-deltas"):
-                        device.stream_to_host(2 * changed * 4)
-
-                iteration_converged = program.converged(
-                    labels, new_labels, iteration
-                )
-                labels = new_labels
-                if history is not None:
-                    history.append(labels.copy())
-
-                kernel_delta = device.kernel_seconds - kernel_before
-                transfer_delta = device.transfer_seconds - transfer_before
-                stats = IterationStats(
-                    iteration=iteration,
+            kernel_delta = device.kernel_seconds - kernel_before
+            transfer_delta = device.transfer_seconds - transfer_before
+            m = obs.metrics()
+            if m is not None:
+                m.observe("hybrid_cpu_seconds", cpu_seconds, engine=self.name)
+            return driver.Step(
+                new_labels,
+                changed_mask,
+                stats=dict(
                     # GPU and CPU shares run concurrently.
                     seconds=max(kernel_delta, cpu_seconds) + transfer_delta,
                     kernel_seconds=kernel_delta,
                     transfer_seconds=transfer_delta,
-                    changed_vertices=changed,
                     counters=device.counters.delta_since(counters_before),
                     kernel_stats={
                         "pass_mode": "sparse" if sparse else "dense",
@@ -605,91 +424,60 @@ class HybridEngine:
                     },
                     frontier_size=processed_vertices,
                     processed_edges=processed_edges,
-                )
-                iterations.append(stats)
-                observe_iteration(
-                    self.name, stats, graph.num_vertices, track_frontier
-                )
-                m = obs.metrics()
-                if m is not None:
-                    m.observe(
-                        "hybrid_cpu_seconds", cpu_seconds, engine=self.name
-                    )
-                if active_tracer is not None:
-                    active_tracer.host_event(
-                        f"iteration {iteration}",
-                        iter_started,
-                        cat="engine",
-                        args={
-                            "modeled_seconds": stats.seconds,
-                            "cpu_seconds": cpu_seconds,
-                            "changed_vertices": changed,
-                        },
-                    )
-                if iteration_converged and stop_on_convergence:
-                    converged = True
-                    break
-        finally:
-            for handle in persistent:
-                device.free(handle)
-            if active_tracer is not None:
-                active_tracer.host_event(
-                    "hybrid-run",
-                    run_started,
-                    cat="engine",
-                    args={"engine": self.name, "graph": graph.name},
-                )
+                ),
+                trace_args={"cpu_seconds": cpu_seconds},
+            )
 
-        self.last_stats = HybridStats(
-            num_chunks=len(chunks),
-            num_resident_chunks=len(resident),
-            resident_edge_fraction=(
-                resident_edges / graph.num_edges if graph.num_edges else 1.0
-            ),
-            h2d_bytes=device.counters.h2d_bytes,
-            visible_transfer_seconds=sum(
-                stats.transfer_seconds for stats in iterations
-            ),
-            kernel_seconds=sum(
-                stats.kernel_seconds for stats in iterations
-            ),
-            cpu_seconds=sum(
-                stats.kernel_stats.get("cpu_seconds", 0.0)
-                for stats in iterations
-            ),
-            elapsed_seconds=sum(stats.seconds for stats in iterations),
-        )
-        m = obs.metrics()
-        if m is not None:
-            m.set_gauge(
-                "hybrid_resident_edge_fraction",
-                self.last_stats.resident_edge_fraction,
-                engine=self.name,
+        def finish(iterations: List[IterationStats]) -> Optional[np.ndarray]:
+            self.last_stats = HybridStats(
+                num_chunks=len(chunks),
+                num_resident_chunks=len(resident),
+                resident_edge_fraction=(
+                    resident_edges / graph.num_edges
+                    if graph.num_edges
+                    else 1.0
+                ),
+                h2d_bytes=device.counters.h2d_bytes,
+                visible_transfer_seconds=sum(
+                    stats.transfer_seconds for stats in iterations
+                ),
+                kernel_seconds=sum(
+                    stats.kernel_seconds for stats in iterations
+                ),
+                cpu_seconds=sum(
+                    stats.kernel_stats.get("cpu_seconds", 0.0)
+                    for stats in iterations
+                ),
+                elapsed_seconds=sum(stats.seconds for stats in iterations),
             )
-            m.set_gauge(
-                "hybrid_transfer_fraction",
-                self.last_stats.transfer_fraction,
-                engine=self.name,
-            )
-        result = LPResult(
-            labels=program.final_labels(labels),
-            iterations=iterations,
-            converged=converged,
-            engine=self.name,
-            history=history,
+            m = obs.metrics()
+            if m is not None:
+                m.set_gauge(
+                    "hybrid_resident_edge_fraction",
+                    self.last_stats.resident_edge_fraction,
+                    engine=self.name,
+                )
+                m.set_gauge(
+                    "hybrid_transfer_fraction",
+                    self.last_stats.transfer_fraction,
+                    engine=self.name,
+                )
             # The residual frontier: out-neighbors of the final round's
             # changed vertices (host-side, like every hybrid frontier).
-            final_frontier=(
-                prune_pinned(
-                    self._changed_out_neighbors(graph, prev_changed),
-                    pinned,
-                )
-                if track_frontier
-                else None
-            ),
+            if not track_frontier:
+                return None
+            return prune_pinned(
+                self._changed_out_neighbors(graph, prev_changed), pinned
+            )
+
+        return driver.Attempt(
+            step=step,
+            carry=lambda iteration: {
+                "prev_changed": prev_changed,
+                "initial_frontier": initial if iteration == 1 else None,
+            },
+            finish=finish,
         )
-        observe_run(self.name, result)
-        return result
 
     # ------------------------------------------------------------------
     def _overflow_active(
@@ -823,7 +611,7 @@ def run_auto(
     from repro.core.framework import GLPEngine
 
     needed = device_footprint(graph, program, frontier=frontier)
-    if needed <= spec.global_mem_bytes * 0.9:
+    if needed <= spec.global_mem_bytes * MEMORY_SAFETY:
         engine = GLPEngine(spec=spec, config=config, frontier=frontier)
         try:
             return engine.run(graph, program, **run_kwargs), engine

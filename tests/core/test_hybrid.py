@@ -5,7 +5,7 @@ import pytest
 
 from repro import ClassicLP, GLPEngine, SeededFraudLP
 from repro.core.hybrid import HybridEngine, run_auto
-from repro.errors import ConvergenceError, OutOfDeviceMemoryError
+from repro.errors import OutOfDeviceMemoryError
 from repro.gpusim.config import TITAN_V
 
 
@@ -65,10 +65,6 @@ class TestHybridCorrectness:
         engine = HybridEngine(spec=TITAN_V.with_memory(1024))
         with pytest.raises(OutOfDeviceMemoryError):
             engine.run(powerlaw_graph, ClassicLP(), max_iterations=2)
-
-    def test_invalid_memory_safety(self):
-        with pytest.raises(ConvergenceError):
-            HybridEngine(memory_safety=0.0)
 
 
 class TestHybridStats:

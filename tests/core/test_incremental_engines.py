@@ -22,6 +22,7 @@ from repro.pipeline.incremental import (
     warm_start_seeds,
 )
 from repro.pipeline.seeds import SeedStore
+from repro.resilience import FaultPlan, RetryPolicy, count_events, inject
 from repro.pipeline.transactions import (
     TransactionStream,
     TransactionStreamConfig,
@@ -136,6 +137,98 @@ class TestIncrementalVsFull:
         )
         assert superset.labels_hash() == full.labels_hash()
         assert superset.num_iterations == full.num_iterations
+
+
+@pytest.fixture(scope="module")
+def incremental_starts(slide):
+    """Per engine: the warm seeds, the slide plan and the clean
+    incremental run (with history) that faulted runs must reproduce."""
+    starts = {}
+    for name, factory in ENGINE_FACTORIES.items():
+        prev = factory().run(
+            slide["previous"].graph,
+            SeededFraudLP(slide["prev_seeds"]),
+            max_iterations=20,
+        )
+        seeds = warm_seeds_for(slide, prev.labels)
+        plan = plan_slide(
+            slide["diff"],
+            slide["previous"],
+            slide["current"],
+            residual_frontier=prev.final_frontier,
+            seeds=seeds,
+            cutover_ratio=1.0,
+        )
+        assert plan.incremental
+        clean = factory().run(
+            slide["current"].graph,
+            SeededFraudLP(seeds),
+            max_iterations=20,
+            initial_frontier=plan.frontier,
+            record_history=True,
+        )
+        starts[name] = (seeds, plan, clean)
+    return starts
+
+
+#: Device event stream each injected fault kind fires on.
+FAULT_STREAMS = {"kernel": "launch", "transfer": "transfer", "ecc": "launch"}
+
+
+def iteration1_fault_grid():
+    for name in sorted(ENGINE_FACTORIES):
+        for kind in sorted(FAULT_STREAMS):
+            # Multi-GPU peer exchange is modeled, never a device copy.
+            if not (name == "multigpu" and kind == "transfer"):
+                yield name, kind
+
+
+class TestIncrementalRecovery:
+    @pytest.mark.parametrize("name,kind", list(iteration1_fault_grid()))
+    def test_iteration1_fault_restores_sparse_start(
+        self, name, kind, slide, incremental_starts
+    ):
+        """A fault at any of the first three events of the fault's stream
+        (residency uploads or iteration-1 kernels) must restore the
+        sparse start, not fall back to a dense iteration 1."""
+        seeds, plan, clean = incremental_starts[name]
+        run_kwargs = dict(
+            max_iterations=20,
+            initial_frontier=plan.frontier,
+            record_history=True,
+        )
+        with count_events() as counter:
+            ENGINE_FACTORIES[name]().run(
+                slide["current"].graph, SeededFraudLP(seeds), **run_kwargs
+            )
+        total = counter.counts[FAULT_STREAMS[kind]]
+        assert total >= 1
+        for index in range(1, min(3, total) + 1):
+            with inject(FaultPlan.parse(f"{kind}@{index}")) as injector:
+                recovered = ENGINE_FACTORIES[name]().run(
+                    slide["current"].graph,
+                    SeededFraudLP(seeds),
+                    retry_policy=RetryPolicy(),
+                    **run_kwargs,
+                )
+            assert len(injector.events) == 1, index
+            assert recovered.labels_hash() == clean.labels_hash(), index
+            assert [
+                (s.kernel_stats["pass_mode"], s.processed_edges)
+                for s in recovered.iterations
+            ] == [
+                (s.kernel_stats["pass_mode"], s.processed_edges)
+                for s in clean.iterations
+            ], index
+            # Each iteration's seconds is a difference of the device's
+            # running totals, so a retried run may differ in the last ulp.
+            assert [s.seconds for s in recovered.iterations] == pytest.approx(
+                [s.seconds for s in clean.iterations], rel=1e-12
+            ), index
+            assert len(recovered.history) == len(clean.history), index
+            assert np.array_equal(
+                recovered.final_frontier, clean.final_frontier
+            ), index
 
 
 class TestRunArguments:

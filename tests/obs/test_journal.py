@@ -29,6 +29,7 @@ from repro.pipeline.transactions import (
     TransactionStreamConfig,
 )
 from repro.resilience import FaultPlan, RetryPolicy, inject
+from tests.resilience.test_engine_recovery import device_engines
 
 
 @pytest.fixture(scope="module")
@@ -177,60 +178,70 @@ class TestCorrelation:
 
 
 class TestEngineAttemptChain:
+    """Every device engine runs the shared driver's attempt loop; each test
+    walks all three so their journals are pinned alike."""
+
     def test_clean_run_records_one_attempt(self, graph):
-        with obs.observe() as session:
-            GLPEngine().run(graph, ClassicLP(), max_iterations=6)
-        starts = session.journal.events_for(event="engine.attempt.start")
-        ends = session.journal.events_for(event="engine.attempt.end")
-        assert len(starts) == 1 and len(ends) == 1
-        assert starts[0]["attempt_id"] == ends[0]["attempt_id"]
-        assert ends[0]["outcome"] == "ok"
+        for name, make in device_engines(graph).items():
+            with obs.observe() as session:
+                make().run(graph, ClassicLP(), max_iterations=6)
+            starts = session.journal.events_for(event="engine.attempt.start")
+            ends = session.journal.events_for(event="engine.attempt.end")
+            assert len(starts) == 1 and len(ends) == 1, name
+            assert starts[0]["attempt_id"] == ends[0]["attempt_id"], name
+            assert ends[0]["outcome"] == "ok", name
 
     def test_faulted_run_chains_attempts_through_recovery(self, graph):
         """One injected transient fault: attempt 1 faults, recovery
         restores, attempt 2 finishes — all under distinct attempt IDs."""
-        with obs.observe() as session:
-            with inject(FaultPlan.parse("kernel@3")):
-                GLPEngine().run(
-                    graph, ClassicLP(), max_iterations=6,
-                    retry_policy=RetryPolicy(max_retries=2),
-                )
-        journal = session.journal
-        starts = journal.events_for(event="engine.attempt.start")
-        faults = journal.events_for(event="engine.attempt.fault")
-        restores = journal.events_for(event="recovery.restore")
-        decisions = journal.events_for(event="recovery.fault")
-        ends = journal.events_for(event="engine.attempt.end")
-        assert len(starts) == 2
-        assert len(faults) == 1 and faults[0]["kind"] == "kernel"
-        assert len(restores) == 1
-        assert [d["decision"] for d in decisions] == ["retry"]
-        assert len(ends) == 1 and ends[0]["outcome"] == "ok"
-        # The fault, its recovery decision and the restore all carry the
-        # *failed* attempt's ID; the successful end carries the new one.
-        failed_id = starts[0]["attempt_id"]
-        assert faults[0]["attempt_id"] == failed_id
-        assert decisions[0]["attempt_id"] == failed_id
-        assert restores[0]["attempt_id"] == failed_id
-        assert ends[0]["attempt_id"] == starts[1]["attempt_id"]
-        assert ends[0]["attempt_id"] != failed_id
-        # fault.injected from the simulator hook lands in the same chain.
-        injected = journal.events_for(event="fault.injected")
-        assert len(injected) == 1
-        assert injected[0]["attempt_id"] == failed_id
+        for name, make in device_engines(graph).items():
+            with obs.observe() as session:
+                with inject(FaultPlan.parse("kernel@3")):
+                    make().run(
+                        graph, ClassicLP(), max_iterations=6,
+                        retry_policy=RetryPolicy(max_retries=2),
+                    )
+            journal = session.journal
+            starts = journal.events_for(event="engine.attempt.start")
+            faults = journal.events_for(event="engine.attempt.fault")
+            restores = journal.events_for(event="recovery.restore")
+            decisions = journal.events_for(event="recovery.fault")
+            ends = journal.events_for(event="engine.attempt.end")
+            assert len(starts) == 2, name
+            assert len(faults) == 1 and faults[0]["kind"] == "kernel", name
+            assert len(restores) == 1, name
+            assert [d["decision"] for d in decisions] == ["retry"], name
+            assert len(ends) == 1 and ends[0]["outcome"] == "ok", name
+            # The fault, its recovery decision and the restore all carry
+            # the *failed* attempt's ID; the successful end carries the
+            # new one.
+            failed_id = starts[0]["attempt_id"]
+            assert faults[0]["attempt_id"] == failed_id, name
+            assert decisions[0]["attempt_id"] == failed_id, name
+            assert restores[0]["attempt_id"] == failed_id, name
+            assert ends[0]["attempt_id"] == starts[1]["attempt_id"], name
+            assert ends[0]["attempt_id"] != failed_id, name
+            # fault.injected from the simulator hook lands in the same
+            # chain.
+            injected = journal.events_for(event="fault.injected")
+            assert len(injected) == 1, name
+            assert injected[0]["attempt_id"] == failed_id, name
 
     def test_checkpoint_events_carry_path_annotation(self, graph):
-        with obs.observe() as session:
-            GLPEngine().run(
-                graph, ClassicLP(), max_iterations=6,
-                retry_policy=RetryPolicy(),
-            )
-            ckpts = session.journal.events_for(event="recovery.checkpoint")
-            assert ckpts
-            assert all("iteration" in c for c in ckpts)
-            assert session.context["checkpoint"]["iteration"] == int(
-                ckpts[-1]["iteration"]
-            )
+        for name, make in device_engines(graph).items():
+            with obs.observe() as session:
+                make().run(
+                    graph, ClassicLP(), max_iterations=6,
+                    retry_policy=RetryPolicy(),
+                )
+                ckpts = session.journal.events_for(
+                    event="recovery.checkpoint"
+                )
+                assert ckpts, name
+                assert all("iteration" in c for c in ckpts), name
+                assert session.context["checkpoint"]["iteration"] == int(
+                    ckpts[-1]["iteration"]
+                ), name
 
 
 class TestSlideChain:
