@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.api import LPProgram
 from repro.errors import ProgramError
 from repro.graph.csr import CSRGraph
+from repro.kernels.frontier import bitmap_unique
 from repro.types import LABEL_DTYPE, NO_LABEL, WEIGHT_DTYPE
 
 
@@ -40,7 +41,7 @@ class SeededFraudLP(LPProgram):
     ) -> None:
         if not seeds:
             raise ProgramError("at least one seed is required")
-        if any(label < 0 for label in seeds.values()):
+        if min(seeds.values()) < 0:
             raise ProgramError("seed labels must be non-negative")
         if max_hops is not None and max_hops <= 0:
             raise ProgramError("max_hops must be positive when given")
@@ -94,9 +95,11 @@ class SeededFraudLP(LPProgram):
 
         Frontier engines prune them from sparse passes — crucial on warm
         windows, where carried hub-product seeds would otherwise stream
-        their whole neighbor lists every iteration for nothing.
+        their whole neighbor lists every iteration for nothing.  Returns
+        the seed set sorted unique, through a vertex bitmap rather than a
+        sort (warm windows seed nearly every vertex).
         """
-        return np.unique(self._seed_vertices)
+        return bitmap_unique(self._seed_vertices, graph.num_vertices)
 
     def converged(self, old_labels, new_labels, iteration):
         if self.max_hops is not None and iteration >= self.max_hops:

@@ -41,20 +41,34 @@ from repro import obs
 from repro.core.api import LPProgram, validate_program
 from repro.core.instrument import observe_iteration, observe_run
 from repro.core.results import IterationStats, LPResult
-from repro.errors import ConvergenceError, DeviceFault
+from repro.errors import (
+    ConvergenceError,
+    DeviceFault,
+    ProgramError,
+    ResilienceError,
+)
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceArray
-from repro.kernels.frontier import coerce_initial_frontier
+from repro.kernels.frontier import bitmap_unique, coerce_initial_frontier
 
 
 def resolve_pinned(
     program: LPProgram, graph: CSRGraph
 ) -> Optional[np.ndarray]:
-    """The program's pinned-vertex set as sorted unique int64 (or None)."""
+    """The program's pinned-vertex set as sorted unique int64 (or None).
+
+    Deduplicated through a vertex bitmap rather than a sort: warm windows
+    pin nearly every vertex.
+    """
     pinned = program.pinned_vertices(graph)
     if pinned is None:
         return None
-    return np.unique(np.asarray(pinned, dtype=np.int64))
+    pinned = np.asarray(pinned, dtype=np.int64).ravel()
+    if pinned.size and (
+        pinned.min() < 0 or pinned.max() >= graph.num_vertices
+    ):
+        raise ProgramError("pinned vertex ids out of range")
+    return bitmap_unique(pinned, graph.num_vertices)
 
 
 def coerce_warm_labels(
@@ -269,11 +283,16 @@ def _run_attempt(
     labels = state["labels"]
     track_frontier = engine.frontier.enabled and program.frontier_safe
     start_iteration = int(state["iteration"])
-    # Drop any records at or past the restore point so re-runs never
-    # duplicate.
-    del iterations[start_iteration - 1 :]
-    if history is not None:
-        del history[start_iteration - 1 :]
+    # Re-runs never duplicate a record: a fault restores the checkpoint
+    # taken at the top of the faulted iteration, before its record was
+    # appended, and a resume from disk starts with empty lists.
+    if len(iterations) >= start_iteration or (
+        history is not None and len(history) >= start_iteration
+    ):
+        raise ResilienceError(
+            f"restore point iteration {start_iteration} precedes "
+            f"{len(iterations)} recorded iterations"
+        )
     converged = False
     active_tracer = obs.tracer()
     run_started = time.perf_counter() if active_tracer else 0.0

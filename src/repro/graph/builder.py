@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import INT64_MAX, CSRGraph, stable_order
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
 
@@ -153,7 +153,8 @@ class GraphBuilder:
         sort_neighbors:
             Sort each neighbor list ascending, giving deterministic layouts.
         """
-        n = (
+        # A Python int, so the overflow tests below cannot wrap.
+        n = int(
             self._num_vertices
             if self._id_map is None
             else len(self._id_map)
@@ -178,15 +179,22 @@ class GraphBuilder:
 
         if drop_self_loops and dst.size:
             keep = dst != src
-            dst, src = dst[keep], src[keep]
-            if weights is not None:
-                weights = weights[keep]
+            if not keep.all():
+                dst, src = dst[keep], src[keep]
+                if weights is not None:
+                    weights = weights[keep]
 
         if dst.size:
             # Sort by (dst, src); stable so weight aggregation is exact.
-            order = np.lexsort((src, dst)) if sort_neighbors else np.argsort(
-                dst, kind="stable"
-            )
+            # One packed key per edge when it fits int64 (same permutation).
+            if not sort_neighbors:
+                order = np.argsort(dst, kind="stable")
+            elif n * n * int(dst.size) <= INT64_MAX:
+                key = dst * np.int64(n)
+                key += src
+                order = stable_order(key)
+            else:
+                order = np.lexsort((src, dst))
             dst, src = dst[order], src[order]
             if weights is not None:
                 weights = weights[order]
@@ -196,12 +204,18 @@ class GraphBuilder:
                 np.logical_or(
                     dst[1:] != dst[:-1], src[1:] != src[:-1], out=new_edge[1:]
                 )
-                if weights is not None:
-                    group = np.cumsum(new_edge) - 1
-                    weights = np.bincount(
-                        group, weights=weights, minlength=int(group[-1]) + 1
-                    ).astype(WEIGHT_DTYPE)
-                dst, src = dst[new_edge], src[new_edge]
+                if new_edge.all():
+                    # No duplicates.  ``0.0 + w`` is what the bincount sum
+                    # yields for a lone weight (it turns -0.0 into 0.0).
+                    if weights is not None:
+                        weights += 0.0
+                else:
+                    if weights is not None:
+                        group = np.cumsum(new_edge) - 1
+                        weights = np.bincount(
+                            group, weights=weights, minlength=int(group[-1]) + 1
+                        ).astype(WEIGHT_DTYPE)
+                    dst, src = dst[new_edge], src[new_edge]
 
         counts = np.bincount(dst, minlength=n) if n else np.empty(0, dtype=np.int64)
         offsets = np.zeros(n + 1, dtype=VERTEX_DTYPE)

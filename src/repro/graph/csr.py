@@ -22,6 +22,31 @@ import numpy as np
 from repro.errors import GraphError
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
+#: Largest value an int64 sort key may hold.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: Slots added per step in :func:`stable_order`: a full-length ``arange``
+#: would be one more edge-sized temporary at the peak of a graph build.
+_SLOT_CHUNK = 1 << 16
+
+
+def stable_order(groups: np.ndarray) -> np.ndarray:
+    """``np.argsort(groups, kind="stable")`` by one in-place sort.
+
+    ``groups`` is a scratch int64 array of non-negative ids that this call
+    overwrites; the caller must have checked that
+    ``(groups.max() + 1) * len(groups)`` fits int64.  The keys
+    ``groups * len + slot`` are unique, so any sort orders them exactly as
+    the stable sort orders the slots, and ``% len`` recovers the slot.
+    """
+    size = groups.size
+    groups *= size
+    for start in range(0, size, _SLOT_CHUNK):
+        stop = min(start + _SLOT_CHUNK, size)
+        groups[start:stop] += np.arange(start, stop, dtype=np.int64)
+    groups.sort()
+    return np.remainder(groups, size, out=groups)
+
 
 @dataclass(frozen=True)
 class CSRGraph:
@@ -185,7 +210,10 @@ class CSRGraph:
         if self._reversed_cache is not None:
             return self._reversed_cache
         sources = self.edge_sources()
-        order = np.argsort(self.indices, kind="stable")
+        if self.num_vertices * self.num_edges <= INT64_MAX:
+            order = stable_order(self.indices.astype(np.int64))
+        else:
+            order = np.argsort(self.indices, kind="stable")
         new_indices = sources[order]
         counts = np.bincount(self.indices, minlength=self.num_vertices)
         new_offsets = np.zeros(self.num_vertices + 1, dtype=VERTEX_DTYPE)

@@ -31,6 +31,12 @@ bitwise by the warm-window tests):
   *label boundary* — unlabeled vertices with a labeled in-neighbor —
   drops nothing that could change.
 
+The boundary is tested from the candidate side, over the candidates'
+forward-CSR (in-neighbor) lists: O(vol(candidates)).  The labeled set is
+no small fraud-cluster set that could be expanded instead — warm windows
+pin nearly every vertex (99.6 % on the ``slide_incremental`` benchmark's
+30-day windows), so expanding it would cost O(E) per slide.
+
 Processing any superset of the iteration-1 changers sparsely, then
 advancing the standard frontier machinery, reproduces the dense warm run
 bit for bit; removed-edge endpoints are kept in the candidate set (DynLP's
@@ -262,24 +268,26 @@ def affected_vertices(
     initial sparse iteration — see the module docstring for why it covers
     every vertex the dense warm pass could change.
     """
-    labeled_vertices = np.unique(
-        np.asarray(labeled_vertices, dtype=np.int64)
-    )
+    labeled_vertices = np.asarray(labeled_vertices, dtype=np.int64)
     candidates = np.union1d(
         map_previous_vertices(residual_frontier, previous, current),
         diff_endpoint_vertices(diff, current),
     )
-    # Label-boundary filter (host-side, like the window build itself):
-    # expanding the labeled set through the reversed CSR costs
-    # O(vol(labeled)) — small, since labels live only on fraud clusters.
+    # Label-boundary filter (host-side, like the window build itself),
+    # tested from the candidate side: a candidate is on the boundary iff
+    # one of its in-neighbors (its forward-CSR list) is labeled.  That
+    # costs O(vol(candidates)) plus one bitmap; expanding the labeled set
+    # instead would cost O(vol(labeled)), which is nearly O(E) on warm
+    # windows (carried seeds pin 99.6 % of the vertices).
     if labeled_vertices.size and candidates.size:
-        batch = mfl.expand_edges(current.graph.reversed(), labeled_vertices)
-        boundary = np.unique(batch.neighbor_ids.astype(np.int64, copy=False))
-        frontier = np.intersect1d(
-            candidates, boundary, assume_unique=True
-        )
-        frontier = frontier[
-            ~np.isin(frontier, labeled_vertices, assume_unique=True)
+        num_vertices = current.graph.num_vertices
+        labeled = np.zeros(num_vertices, dtype=bool)
+        labeled[labeled_vertices] = True
+        batch = mfl.expand_edges(current.graph, candidates)
+        on_boundary = np.zeros(num_vertices, dtype=bool)
+        on_boundary[batch.vertex_ids[labeled[batch.neighbor_ids]]] = True
+        frontier = candidates[
+            on_boundary[candidates] & ~labeled[candidates]
         ]
     else:
         frontier = np.empty(0, dtype=np.int64)

@@ -145,10 +145,12 @@ class IncrementalWindowBuilder:
         """Fold one day's transactions in (+1) or out (-1), vectorized.
 
         Aggregates the day to unique (user, product) pairs with
-        ``np.unique``, merges them into the sorted running arrays, and
-        drops pairs whose count retires to zero — the exact semantics of
-        the old per-transaction dict loop (counts are sums of ±1.0, which
-        float64 represents exactly).
+        ``np.unique``, merges them into the sorted running arrays with
+        ``searchsorted`` (update the pairs already present, ``np.insert``
+        the new ones), and drops pairs whose count retires to zero — the
+        exact semantics of the old per-transaction dict loop (counts are
+        sums of ±1.0, which float64 represents exactly).  Only the day is
+        sorted; the window costs a few linear passes.
         """
         transactions = self.stream.window_transactions(day, 1)
         if transactions.size == 0:
@@ -157,18 +159,22 @@ class IncrementalWindowBuilder:
             transactions["user"].astype(np.int64) << _PRODUCT_BITS
         ) | transactions["product"].astype(np.int64)
         day_keys, day_counts = np.unique(day_keys, return_counts=True)
+        delta = sign * day_counts
 
-        merged_keys = np.concatenate([self._pair_keys, day_keys])
-        merged_counts = np.concatenate(
-            [self._pair_counts, sign * day_counts]
-        )
-        keys, inverse = np.unique(merged_keys, return_inverse=True)
-        counts = np.bincount(
-            inverse, weights=merged_counts, minlength=keys.size
-        )
+        keys = self._pair_keys
+        positions = np.searchsorted(keys, day_keys)
+        found = positions < keys.size
+        found[found] = keys[positions[found]] == day_keys[found]
+        counts = self._pair_counts.copy()
+        counts[positions[found]] += delta[found]
+        new = ~found
+        keys = np.insert(keys, positions[new], day_keys[new])
+        counts = np.insert(counts, positions[new], delta[new])
         keep = counts > 0.0
-        self._pair_keys = keys[keep]
-        self._pair_counts = counts[keep]
+        if not keep.all():
+            keys, counts = keys[keep], counts[keep]
+        self._pair_keys = keys
+        self._pair_counts = counts
 
     # ------------------------------------------------------------------
     def build(self) -> WindowGraph:
@@ -179,10 +185,17 @@ class IncrementalWindowBuilder:
         products = self._pair_keys & _PRODUCT_MASK
         weights = self._pair_counts.copy()
 
-        window_users, user_index = np.unique(users, return_inverse=True)
-        window_products, product_index = np.unique(
-            products, return_inverse=True
-        )
+        # ``np.unique(..., return_inverse=True)`` of both sides without a
+        # sort.  The keys are sorted, so their user bits already are: a
+        # run-boundary scan.  Products: a bitmap over the product ids.
+        first = np.ones(users.size, dtype=bool)
+        np.not_equal(users[1:], users[:-1], out=first[1:])
+        window_users = users[first]
+        user_index = np.cumsum(first) - 1
+        present = np.zeros(int(products.max(initial=-1)) + 1, dtype=bool)
+        present[products] = True
+        window_products = np.flatnonzero(present)
+        product_index = (np.cumsum(present) - 1)[products]
         num_users = window_users.size
         start = min(self._days)
         graph = from_edge_arrays(
@@ -235,10 +248,9 @@ def warm_start_seeds(
 
     current_vertices = current.window_vertex_of_user(users)
     present = current_vertices >= 0
-    merged = {
-        int(v): int(l)
-        for v, l in zip(current_vertices[present], labels[present])
-    }
+    merged = dict(
+        zip(current_vertices[present].tolist(), labels[present].tolist())
+    )
     # Guard before indexing: ``&`` does not short-circuit, so folding the
     # emptiness test into the ``found`` mask still evaluates
     # ``current.products[positions]`` and raises on an empty window side.
@@ -249,10 +261,12 @@ def warm_start_seeds(
         positions = np.clip(positions, 0, current.products.size - 1)
         found = current.products[positions] == product_ids
         product_labels = previous_labels[prev_products]
-        for position, label in zip(
-            positions[found], product_labels[found]
-        ):
-            merged[int(position) + current.num_users] = int(label)
+        merged.update(
+            zip(
+                (positions[found] + current.num_users).tolist(),
+                product_labels[found].tolist(),
+            )
+        )
     merged.update(base_seeds)
     return merged
 

@@ -117,12 +117,20 @@ class TransactionStream:
         return seeds
 
     def window_transactions(self, start_day: int, num_days: int) -> np.ndarray:
-        """Transactions with ``start_day <= day < start_day + num_days``."""
+        """Transactions with ``start_day <= day < start_day + num_days``.
+
+        The stream is generated day by day, so the day column is sorted
+        and the window is one contiguous run, returned as a read-only view
+        (no copy of a possibly stream-sized window).
+        """
         if num_days <= 0:
             raise PipelineError("num_days must be positive")
-        days = self.transactions["day"]
-        mask = (days >= start_day) & (days < start_day + num_days)
-        return self.transactions[mask]
+        lo, hi = np.searchsorted(
+            self.transactions["day"], [start_day, start_day + num_days]
+        )
+        window = self.transactions[lo:hi]
+        window.flags.writeable = False
+        return window
 
     # ------------------------------------------------------------------
     def _generate(self) -> np.ndarray:

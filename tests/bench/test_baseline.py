@@ -191,12 +191,12 @@ class TestToleranceConfig:
         assert _parse_toml_minimal(text) == tomllib.loads(text)
 
     def test_repo_config_loads_with_overrides(self):
+        # The committed gate is exact: every band of every scenario is 0.
         config = load_tolerance_config("benchmarks/baseline_config.toml")
-        default = tolerances_for(config, "dense_classic")
-        warm = tolerances_for(config, "warm_windows")
-        assert default["rel_tol_seconds"] == 0.05
-        assert warm["rel_tol_counters"] == 0.05
-        assert warm["rel_tol_seconds"] == default["rel_tol_seconds"]
+        for name in ("dense_classic", "warm_windows"):
+            assert tolerances_for(config, name) == {
+                key: 0.0 for key in DEFAULT_TOLERANCES
+            }
 
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(BenchmarkError):
